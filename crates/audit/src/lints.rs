@@ -26,8 +26,8 @@
 //!   are confined to the two thread-pool files.
 //! * **trait-contract** — every `Adversary` impl defines `edges_into`
 //!   and `sparse_capable`, every `AlgorithmPlane` impl defines
-//!   `reset_instance`, every `ByzantineStrategy` impl defines
-//!   `begin_instance`.
+//!   `reset_instance` and `receive_run`, every `ByzantineStrategy` impl
+//!   defines `begin_instance`.
 //!
 //! Suppressions: `// audit: allow(<lint>) — <justification>` silences
 //! `<lint>` on the comment's own line and the next code line. A missing
@@ -167,10 +167,16 @@ const TRAIT_CONTRACTS: [(&str, &[(&str, &str)]); 3] = [
     ),
     (
         "AlgorithmPlane",
-        &[(
-            "reset_instance",
-            "service mode re-seeds planes in place between instances",
-        )],
+        &[
+            (
+                "reset_instance",
+                "service mode re-seeds planes in place between instances",
+            ),
+            (
+                "receive_run",
+                "the sparse path's run rows arrive through it; state the bulk kernel or the forwarding explicitly (the default walks the run link by link)",
+            ),
+        ],
     ),
     (
         "ByzantineStrategy",

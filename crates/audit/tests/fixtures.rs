@@ -745,6 +745,7 @@ impl ByzantineStrategy for Foo {
             "3: trait-contract: `impl Adversary for Foo` must define `edges_into` — every delivery path calls the allocation-free in-place fill",
             "3: trait-contract: `impl Adversary for Foo` must define `sparse_capable` — declare sparseness one way or the other (define `sparse_into` too when capable)",
             "6: trait-contract: `impl AlgorithmPlane for Foo` must define `reset_instance` — service mode re-seeds planes in place between instances",
+            "6: trait-contract: `impl AlgorithmPlane for Foo` must define `receive_run` — the sparse path's run rows arrive through it; state the bulk kernel or the forwarding explicitly (the default walks the run link by link)",
             "9: trait-contract: `impl ByzantineStrategy for Foo` must define `begin_instance` — service instance k must fabricate byte-identically to a standalone run",
         ]
     );

@@ -20,7 +20,10 @@
 //! [`AlgorithmPlane`] captures that shape: one object holds *every*
 //! node's state in struct-of-arrays layout ([`DacPlane`], [`DbacPlane`]),
 //! and the engine delivers one *sender's* broadcast to a whole receiver
-//! bitset per (non-virtual-per-message) call. The trait path remains the
+//! bitset per (non-virtual-per-message) call. On the sparse link plane
+//! the engine drives the same columns receiver-major instead: one
+//! receiver's row per call, an id-range run of it a 64-sender word at a
+//! time ([`AlgorithmPlane::receive_run`]). The trait path remains the
 //! behavioral oracle: planes must be observationally **identical** to a
 //! per-node state machine run under ascending-sender delivery —
 //! `tests/plane_equivalence.rs` fuzzes that contract across adversaries,
@@ -29,7 +32,7 @@
 use std::fmt;
 
 use adn_graph::NodeSet;
-use adn_types::{Message, Params, Phase, Port, Value};
+use adn_types::{Message, Params, Phase, Port, PortRow, Value};
 
 use crate::dbac::{max_index, min_index};
 
@@ -57,8 +60,13 @@ use crate::dbac::{max_index, min_index};
 ///   message (the engine routes Byzantine fabrications and crash-round
 ///   partial broadcasts through it link by link);
 /// * [`AlgorithmPlane::deliver_from_sender`] applies one single-message
-///   broadcast to every receiver in a set, ascending — the bulk fast
-///   path.
+///   broadcast to every receiver in a set, ascending — the dense path's
+///   bulk call;
+/// * [`AlgorithmPlane::receive_many`] and [`AlgorithmPlane::receive_run`]
+///   apply one receiver's row of single-message links, senders
+///   ascending — the sparse path's calls, for a staged batch and for an
+///   id-range run of unconditional senders respectively. Both must equal
+///   `receive` once per link.
 pub trait AlgorithmPlane: fmt::Debug {
     /// Number of node slots (the system size `n`).
     fn n(&self) -> usize;
@@ -100,9 +108,10 @@ pub trait AlgorithmPlane: fmt::Debug {
     fn receive(&mut self, receiver: usize, port: Port, batch: &[Message]);
 
     /// Delivers one round's worth of single-message links to one
-    /// receiver, in slice order — the receiver-major path the sparse link
-    /// plane drives (each entry is one sender's broadcast on the port the
-    /// receiver hears it on, senders ascending). Must be observationally
+    /// receiver, in slice order — the sparse link plane's path for CSR
+    /// rows and for runs holding a crash-round sender (each entry is one
+    /// sender's broadcast on the port the receiver hears it on, senders
+    /// ascending). Must be observationally
     /// identical to calling [`AlgorithmPlane::receive`] once per entry;
     /// the default does exactly that, while the columnar planes override
     /// it to split their columns once per receiver instead of per link.
@@ -110,6 +119,35 @@ pub trait AlgorithmPlane: fmt::Debug {
     fn receive_many(&mut self, receiver: usize, batch: &[(Port, Message)]) {
         for &(port, msg) in batch {
             self.receive(receiver, port, std::slice::from_ref(&msg));
+        }
+    }
+
+    /// Delivers one id-range run of a receiver's row: every sender `u` in
+    /// `senders ∩ {lo..=hi} \ {receiver}`, ascending, with message
+    /// `wire[u]` on port `ports.port_of(u)` (`ports` is the receiver's
+    /// port row, `wire` the round's per-sender wire messages). The sparse
+    /// link plane drives it for run rows whose senders all deliver
+    /// unconditionally. Must be observationally identical to calling
+    /// [`AlgorithmPlane::receive`] once per sender, ascending; the
+    /// default does exactly that, so adaptors stay correct. The columnar
+    /// planes override it: [`DacPlane`] applies a run a 64-sender word at
+    /// a time, [`DbacPlane`] walks it link by link without staging.
+    // audit: no-alloc
+    fn receive_run(
+        &mut self,
+        receiver: usize,
+        lo: usize,
+        hi: usize,
+        senders: &NodeSet,
+        ports: PortRow<'_>,
+        wire: &[Message],
+    ) {
+        for (w, mut bits) in run_words(senders, lo, hi, receiver) {
+            while bits != 0 {
+                let u = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.receive(receiver, ports.port_of(u), std::slice::from_ref(&wire[u]));
+            }
         }
     }
 
@@ -157,6 +195,33 @@ pub trait AlgorithmPlane: fmt::Debug {
     fn name(&self) -> &'static str;
 }
 
+/// The non-empty words of `senders ∩ {lo..=hi} \ {skip}`, ascending, as
+/// `(word index, masked word)` — the chunks a run receive walks.
+#[inline]
+fn run_words(
+    senders: &NodeSet,
+    lo: usize,
+    hi: usize,
+    skip: usize,
+) -> impl Iterator<Item = (usize, u64)> + '_ {
+    let words = senders.words();
+    let (lw, hw) = (lo / 64, hi / 64);
+    (lw..=hw).filter_map(move |w| {
+        let mut mask = u64::MAX;
+        if w == lw {
+            mask &= u64::MAX << (lo % 64);
+        }
+        if w == hw {
+            mask &= u64::MAX >> (63 - hi % 64);
+        }
+        if w == skip / 64 {
+            mask &= !(1u64 << (skip % 64));
+        }
+        let word = words[w] & mask;
+        (word != 0).then_some((w, word))
+    })
+}
+
 /// Upper bound on delivery shards a plane can be split into
 /// ([`AlgorithmPlane::fill_shards`]); the engine sizes its fixed shard
 /// scratch against it.
@@ -199,6 +264,28 @@ impl PlaneShard<'_> {
                     cols.process(v, port, msg);
                 }
             }
+        }
+    }
+
+    /// Delivers one id-range run to `receiver` (a **global** slot index
+    /// inside this shard's range) — the sharded mirror of
+    /// [`AlgorithmPlane::receive_run`], with the same arguments.
+    // audit: no-alloc
+    #[inline]
+    pub fn receive_run(
+        &mut self,
+        receiver: usize,
+        lo: usize,
+        hi: usize,
+        senders: &NodeSet,
+        ports: PortRow<'_>,
+        wire: &[Message],
+    ) {
+        let v = receiver - self.base;
+        let chunks = run_words(senders, lo, hi, receiver);
+        match &mut self.repr {
+            ShardRepr::Dac(cols) => cols.receive_run(v, chunks, ports, wire),
+            ShardRepr::Dbac(cols) => cols.receive_run(v, chunks, ports, wire),
         }
     }
 }
@@ -403,6 +490,132 @@ impl DacCols<'_> {
         self.try_advance(v);
     }
 
+    /// A run of unconditional senders at slot `v`, one 64-sender word
+    /// (`chunks`, from [`run_words`]) at a time. A word whose senders are
+    /// at or behind `v`'s phase, whose ports form one unwrapped range,
+    /// and whose fresh ports leave `v` short of quorum is applied in bulk
+    /// by [`DacCols::absorb_chunk`]. Every other word — a jump, a quorum
+    /// crossing, a wrap, a table row — goes through
+    /// [`DacCols::process`] sender by sender, ascending. Either way the
+    /// result equals per-sender `process` calls.
+    // audit: no-alloc-fn
+    #[inline]
+    fn receive_run(
+        &mut self,
+        v: usize,
+        chunks: impl Iterator<Item = (usize, u64)>,
+        ports: PortRow<'_>,
+        wire: &[Message],
+    ) {
+        for (w, chunk) in chunks {
+            let p = self.phase[v];
+            if p.as_u64() >= self.pend {
+                return; // decided: nothing in the rest of the run applies
+            }
+            if self.absorb_chunk(v, p, w * 64, chunk, ports, wire) {
+                continue;
+            }
+            let mut bits = chunk;
+            while bits != 0 {
+                let u = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.process(v, ports.port_of(u), wire[u]);
+            }
+        }
+    }
+
+    /// The bulk half of [`DacCols::receive_run`]: applies the senders
+    /// `base + bit` of `chunk` to slot `v` (at phase `p`, undecided) as
+    /// one port-range OR, one count add and one min/max fold, and returns
+    /// `true` — or returns `false` having changed nothing when the word
+    /// needs the per-sender path. Senders behind `p` are stale and
+    /// senders on ports already in `R_i` are duplicates: both skip. The
+    /// rest are fresh, and the fold visits them ascending with
+    /// `process`'s own comparisons, so ties resolve identically.
+    // audit: no-alloc-fn
+    #[inline]
+    fn absorb_chunk(
+        &mut self,
+        v: usize,
+        p: Phase,
+        base: usize,
+        chunk: u64,
+        ports: PortRow<'_>,
+        wire: &[Message],
+    ) -> bool {
+        let PortRow::Offset { offset, n } = ports else {
+            return false;
+        };
+        // Re-base on the lowest sender `a`: bit `i` of `rel` is sender
+        // `a + i`, heard on port `pa + i` unless the range wraps at `n`.
+        let first = chunk.trailing_zeros() as usize;
+        let a = base + first;
+        let rel = chunk >> first;
+        let span = 63 - rel.leading_zeros() as usize;
+        let pa = if a + offset >= n {
+            a + offset - n
+        } else {
+            a + offset
+        };
+        if pa + span >= n {
+            return false;
+        }
+        let (pw, pb) = (pa / 64, pa % 64);
+        let row = &mut self.ports_seen[v * self.row_words..(v + 1) * self.row_words];
+        let mut seen = row[pw] >> pb;
+        if pb != 0 && pw + 1 < row.len() {
+            seen |= row[pw + 1] << (64 - pb);
+        }
+        // One pass over the senders on unseen ports: flag jumps, collect
+        // the fresh same-phase ones and fold their values — into locals
+        // only, so a word that turns out to need the per-sender path is
+        // left untouched. Senders on seen ports only need the jump check.
+        let (mut fresh, mut ahead) = (0u64, false);
+        let (mut lo, mut hi) = (self.vmin[v], self.vmax[v]);
+        let mut bits = rel & !seen;
+        let mut dup = rel & seen;
+        while bits != 0 {
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let m = wire[a + i];
+            let q = m.phase();
+            ahead |= q > p;
+            if q == p {
+                fresh |= 1 << i;
+                let mv = m.value();
+                if mv < lo {
+                    lo = mv;
+                } else if mv > hi {
+                    hi = mv;
+                }
+            }
+        }
+        while dup != 0 {
+            let i = dup.trailing_zeros() as usize;
+            dup &= dup - 1;
+            ahead |= wire[a + i].phase() > p;
+        }
+        if ahead {
+            return false;
+        }
+        let count = fresh.count_ones();
+        let total = self.seen_count[v] + count;
+        if total >= self.foreign_quorum {
+            return false;
+        }
+        if fresh == 0 {
+            return true;
+        }
+        row[pw] |= fresh << pb;
+        if pb != 0 && fresh >> (64 - pb) != 0 {
+            row[pw + 1] |= fresh >> (64 - pb);
+        }
+        self.seen_count[v] = total;
+        self.vmin[v] = lo;
+        self.vmax[v] = hi;
+        true
+    }
+
     #[inline]
     fn try_advance(&mut self, v: usize) {
         while self.seen_count[v] >= self.foreign_quorum && self.phase[v].as_u64() < self.pend {
@@ -458,6 +671,20 @@ impl AlgorithmPlane for DacPlane {
         for &(port, msg) in batch {
             cols.process(receiver, port, msg);
         }
+    }
+
+    // audit: no-alloc
+    fn receive_run(
+        &mut self,
+        receiver: usize,
+        lo: usize,
+        hi: usize,
+        senders: &NodeSet,
+        ports: PortRow<'_>,
+        wire: &[Message],
+    ) {
+        let chunks = run_words(senders, lo, hi, receiver);
+        self.cols().receive_run(receiver, chunks, ports, wire);
     }
 
     fn fill_shards<'a>(&'a mut self, bounds: &[usize], out: &mut [Option<PlaneShard<'a>>]) -> bool {
@@ -731,6 +958,31 @@ impl DbacCols<'_> {
         }
     }
 
+    /// A run of unconditional senders at slot `v`: the fused per-link
+    /// walk, each sender's wire message processed on its row port as it
+    /// is found, with no staging batch. Trim lists keep no word-shaped
+    /// summary, so there is no bulk step; a decided slot exits at once.
+    // audit: no-alloc-fn
+    #[inline]
+    fn receive_run(
+        &mut self,
+        v: usize,
+        chunks: impl Iterator<Item = (usize, u64)>,
+        ports: PortRow<'_>,
+        wire: &[Message],
+    ) {
+        for (w, mut bits) in chunks {
+            if self.phase[v].as_u64() >= self.pend {
+                return;
+            }
+            while bits != 0 {
+                let u = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.process(v, ports.port_of(u), wire[u]);
+            }
+        }
+    }
+
     // audit: no-alloc-fn
     #[inline]
     fn try_advance(&mut self, v: usize) {
@@ -820,6 +1072,20 @@ impl AlgorithmPlane for DbacPlane {
         }
     }
 
+    // audit: no-alloc
+    fn receive_run(
+        &mut self,
+        receiver: usize,
+        lo: usize,
+        hi: usize,
+        senders: &NodeSet,
+        ports: PortRow<'_>,
+        wire: &[Message],
+    ) {
+        let chunks = run_words(senders, lo, hi, receiver);
+        self.cols().receive_run(receiver, chunks, ports, wire);
+    }
+
     fn fill_shards<'a>(&'a mut self, bounds: &[usize], out: &mut [Option<PlaneShard<'a>>]) -> bool {
         assert_shard_bounds(self.phase.len(), bounds, out.len());
         let (pend, foreign_quorum) = (self.pend, self.foreign_quorum);
@@ -883,6 +1149,7 @@ impl AlgorithmPlane for DbacPlane {
 mod tests {
     use super::*;
     use crate::{Algorithm, Dac, Dbac};
+    use adn_types::rng::SplitMix64;
     use adn_types::NodeId;
 
     fn val(v: f64) -> Value {
@@ -1173,6 +1440,198 @@ mod tests {
         assert_eq!(used_dbac.phases(), fresh_dbac.phases());
         assert_eq!(used_dbac.values(), fresh_dbac.values());
         assert_eq!(used_dbac.outputs(), fresh_dbac.outputs());
+    }
+
+    /// One randomized bulk-vs-per-link case: a receiver driven into a
+    /// mid-phase state by per-link receives (so ports from an earlier
+    /// round of the same phase sit in `R_i`), then one run whose senders
+    /// sit behind, at or ahead of its phase, on a rotation, identity or
+    /// table port row. Returns the plane that took the run in bulk, the
+    /// one that took it link by link, and the receiver's phase before.
+    fn run_case<P: AlgorithmPlane + Clone>(
+        seed: u64,
+        build: impl Fn(Params, &[Value], u64) -> P,
+    ) -> (P, P, usize, Phase) {
+        let mut rng = SplitMix64::new(seed ^ 0x5EED);
+        let n = [63, 64, 65, 127, 129, 130, 257][rng.next_index(7)];
+        let params = Params::new(n, rng.next_index(n / 6 + 1), 0.1).unwrap();
+        let inputs: Vec<Value> = (0..n).map(|_| val(rng.next_f64())).collect();
+        let mut plane = build(params, &inputs, 1 + rng.next_below(4));
+        let table: Vec<Port> = rng.permutation(n).into_iter().map(Port::new).collect();
+        let ports = match rng.next_index(3) {
+            0 => PortRow::Offset {
+                offset: rng.next_index(n),
+                n,
+            },
+            1 => PortRow::Offset { offset: 0, n },
+            _ => PortRow::Table(&table),
+        };
+        let v = rng.next_index(n);
+        let p0 = rng.next_below(2);
+        for _ in 0..n / 4 + rng.next_index(n / 2) {
+            let m = msg(rng.next_f64(), p0 + u64::from(rng.next_bool(0.05)));
+            plane.receive(v, ports.port_of(rng.next_index(n)), &[m]);
+        }
+        // Jumps are rare per sender in a real round; a word holding one
+        // takes the per-sender path, so most draws keep them rarer still.
+        let p = plane.phases()[v].as_u64();
+        let ahead = [0.0, 0.002, 0.02, 0.1][rng.next_index(4)];
+        let stale = [0.0, 0.1][rng.next_index(2)];
+        let wire: Vec<Message> = (0..n)
+            .map(|_| {
+                let q = if rng.next_bool(ahead) {
+                    p + 1 + rng.next_below(2)
+                } else if rng.next_bool(stale) {
+                    p.saturating_sub(1)
+                } else {
+                    p
+                };
+                msg(rng.next_f64(), q)
+            })
+            .collect();
+        let density = 0.5 + 0.5 * rng.next_f64();
+        let senders = NodeSet::from_ids(
+            n,
+            (0..n).filter(|_| rng.next_bool(density)).map(NodeId::new),
+        );
+        let lo = rng.next_index(n);
+        let hi = lo + rng.next_index(n - lo);
+        let before = plane.phases()[v];
+        let mut links = plane.clone();
+        plane.receive_run(v, lo, hi, &senders, ports, &wire);
+        for u in senders.iter().filter(|u| (lo..=hi).contains(&u.index())) {
+            if u.index() != v {
+                links.receive(v, ports.port_of(u.index()), &[wire[u.index()]]);
+            }
+        }
+        (plane, links, v, before)
+    }
+
+    #[test]
+    fn dac_receive_run_matches_per_link_receives() {
+        let (mut advanced, mut decided) = (0, 0);
+        for seed in 0..400 {
+            let (bulk, links, v, before) = run_case(seed, DacPlane::with_pend);
+            let ctx = format!("seed {seed}, receiver {v}");
+            assert_eq!(bulk.phase, links.phase, "{ctx}");
+            assert_eq!(bulk.value, links.value, "{ctx}");
+            assert_eq!(bulk.vmin, links.vmin, "{ctx}");
+            assert_eq!(bulk.vmax, links.vmax, "{ctx}");
+            assert_eq!(bulk.ports_seen, links.ports_seen, "{ctx}");
+            assert_eq!(bulk.seen_count, links.seen_count, "{ctx}");
+            assert_eq!(bulk.output, links.output, "{ctx}");
+            advanced += u32::from(links.phase[v] > before);
+            decided += u32::from(links.output[v].is_some());
+        }
+        // The draw must reach quorum crossings, jumps and decisions.
+        assert!(advanced >= 40, "only {advanced} runs moved the phase");
+        assert!(decided >= 20, "only {decided} runs ended decided");
+    }
+
+    /// The word-chunk fast path's gate, case by case: it takes unwrapped
+    /// rotation words of same-phase, stale and duplicate senders short of
+    /// quorum, and hands back (unchanged) words with a jump, a wrap, a
+    /// quorum crossing, or table ports.
+    #[test]
+    fn absorb_chunk_takes_exactly_the_bulk_words() {
+        let n = 200;
+        let params = Params::fault_free(n, 0.1).unwrap(); // quorum 101
+        let inputs: Vec<Value> = (0..n).map(|i| val(i as f64 / n as f64)).collect();
+        let wire: Vec<Message> = (0..n).map(|i| msg(i as f64 / n as f64, 1)).collect();
+        let mut plane = DacPlane::with_pend(params, &inputs, 5);
+        let v = 7;
+        plane.phase[v] = Phase::new(1);
+        let p = Phase::new(1);
+        let rot = |offset| PortRow::Offset { offset, n };
+        let mut cols = plane.cols();
+        // Word 1 (senders 64..128) at offset 10: ports 74..138, split
+        // across two port words. Taken; the OR lands in both words.
+        assert!(cols.absorb_chunk(v, p, 64, u64::MAX, rot(10), &wire));
+        assert_eq!(cols.seen_count[v], 64);
+        let row = &cols.ports_seen[v * 4..v * 4 + 4];
+        assert_eq!(row[1], u64::MAX << 10);
+        assert_eq!(row[2], (1 << 10) - 1);
+        // The own value 7/200 stays the minimum; the word raises the max.
+        assert_eq!(
+            (cols.vmin[v], cols.vmax[v]),
+            (val(7.0 / 200.0), val(127.0 / 200.0))
+        );
+        // The same word again: every port is a duplicate. Taken, no-op.
+        assert!(cols.absorb_chunk(v, p, 64, u64::MAX, rot(10), &wire));
+        assert_eq!(cols.seen_count[v], 64);
+        // Stale senders skip: word 0 with its senders a phase behind.
+        let mut behind = wire.clone();
+        for m in &mut behind[..64] {
+            *m = msg(m.value().get(), 0);
+        }
+        assert!(cols.absorb_chunk(v, p, 0, u64::MAX, rot(136), &behind));
+        assert_eq!(cols.seen_count[v], 64);
+        // A jump, a wrap (offset 150: ports 150..214 cross n = 200), a
+        // quorum crossing (64 + 64 > 100 foreign), and a table row all
+        // fall back without touching the state.
+        let mut jump = wire.clone();
+        jump[3] = msg(0.5, 2);
+        let table: Vec<Port> = (0..n).map(Port::new).collect();
+        for (base, w, ports) in [
+            (0, &jump, rot(136)),
+            (0, &wire, rot(150)),
+            (128, &wire, rot(10)),
+            (0, &wire, PortRow::Table(&table)),
+        ] {
+            assert!(!cols.absorb_chunk(v, p, base, u64::MAX >> 8, ports, w));
+            assert_eq!(cols.seen_count[v], 64);
+        }
+    }
+
+    #[test]
+    fn dbac_receive_run_matches_per_link_receives() {
+        for seed in 0..400 {
+            let (bulk, links, v, _) = run_case(seed, DbacPlane::with_pend);
+            let ctx = format!("seed {seed}, receiver {v}");
+            assert_eq!(bulk.phase, links.phase, "{ctx}");
+            assert_eq!(bulk.value, links.value, "{ctx}");
+            assert_eq!(bulk.ports_seen, links.ports_seen, "{ctx}");
+            assert_eq!(bulk.seen_count, links.seen_count, "{ctx}");
+            assert_eq!(bulk.low, links.low, "{ctx}");
+            assert_eq!(bulk.low_len, links.low_len, "{ctx}");
+            assert_eq!(bulk.high, links.high, "{ctx}");
+            assert_eq!(bulk.high_len, links.high_len, "{ctx}");
+            assert_eq!(bulk.output, links.output, "{ctx}");
+        }
+    }
+
+    #[test]
+    fn shard_receive_run_matches_whole_plane() {
+        let n = 130;
+        let params = Params::new(n, 2, 0.1).unwrap();
+        let inputs: Vec<Value> = (0..n).map(|i| val(i as f64 / n as f64)).collect();
+        let wire: Vec<Message> = (0..n)
+            .map(|i| msg((i * 7 % n) as f64 / n as f64, 0))
+            .collect();
+        let senders = NodeSet::full(n);
+        let ports = |v: usize| PortRow::Offset {
+            offset: v * 3 % n,
+            n,
+        };
+        let bounds = [0usize, 50, n];
+        let mut whole = DacPlane::with_pend(params, &inputs, 3);
+        let mut sharded = whole.clone();
+        for v in 0..n {
+            whole.receive_run(v, v / 2, n - 1, &senders, ports(v), &wire);
+        }
+        {
+            let mut shards: [Option<PlaneShard<'_>>; 2] = [None, None];
+            assert!(sharded.fill_shards(&bounds, &mut shards));
+            for (i, shard) in shards.iter_mut().enumerate() {
+                let s = shard.as_mut().unwrap();
+                for v in bounds[i]..bounds[i + 1] {
+                    s.receive_run(v, v / 2, n - 1, &senders, ports(v), &wire);
+                }
+            }
+        }
+        assert_eq!(whole.phases(), sharded.phases());
+        assert_eq!(whole.values(), sharded.values());
+        assert_eq!(whole.ports_seen, sharded.ports_seen);
     }
 
     #[test]

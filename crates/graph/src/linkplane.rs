@@ -282,10 +282,13 @@ impl LinkPlane {
         *len += 1;
     }
 
-    /// Sorts and coalesces `v`'s runs into ascending disjoint ranges on
-    /// the stack. Returns the ranges and their count.
+    /// `v`'s run row as ascending, disjoint inclusive id ranges (sorted
+    /// and coalesced on the stack), with their count. The row's links are
+    /// `deliverers ∩ ranges \ {v}`. A CSR row or an empty row has zero
+    /// runs. The sparse delivery path hands each range to a plane's bulk
+    /// run receive instead of walking the row link by link.
     #[inline]
-    fn merged_runs(&self, v: NodeId) -> ([(u32, u32); MAX_RUNS_PER_ROW], usize) {
+    pub fn merged_runs(&self, v: NodeId) -> ([(u32, u32); MAX_RUNS_PER_ROW], usize) {
         let len = self.runs_len[v.index()] as usize;
         let base = v.index() * MAX_RUNS_PER_ROW;
         let mut rs = [(0u32, 0u32); MAX_RUNS_PER_ROW];
@@ -508,6 +511,23 @@ mod tests {
         lp.push_run(v, NodeId::new(1), NodeId::new(10));
         lp.push_run(v, NodeId::new(11), NodeId::new(20));
         assert_eq!(row(&lp, 0), (1..=20).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn merged_runs_are_ascending_disjoint_and_empty_for_csr_rows() {
+        let n = 100;
+        let mut lp = LinkPlane::new(n);
+        lp.begin_round(&NodeSet::full(n));
+        let v = NodeId::new(50);
+        lp.push_run(v, NodeId::new(90), NodeId::new(99));
+        lp.push_run(v, NodeId::new(10), NodeId::new(20));
+        lp.push_run(v, NodeId::new(21), NodeId::new(30));
+        lp.push_run(v, NodeId::new(0), NodeId::new(5));
+        let (rs, m) = lp.merged_runs(v);
+        assert_eq!(&rs[..m], &[(0, 5), (10, 30), (90, 99)]);
+        lp.push_link(NodeId::new(1), NodeId::new(3));
+        assert_eq!(lp.merged_runs(NodeId::new(1)).1, 0, "CSR row");
+        assert_eq!(lp.merged_runs(NodeId::new(2)).1, 0, "empty row");
     }
 
     #[test]

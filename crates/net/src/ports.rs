@@ -3,7 +3,7 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use adn_types::rng::SplitMix64;
-use adn_types::{NodeId, Port};
+use adn_types::{NodeId, Port, PortRow};
 
 /// All `n` per-receiver port bijections of an execution.
 ///
@@ -183,6 +183,33 @@ impl PortNumbering {
                 let p = sender.index() + offsets[receiver.index()] as usize;
                 Port::new(if p >= self.n { p - self.n } else { p })
             }
+        }
+    }
+
+    /// `receiver`'s whole port row, resolved once: the arithmetic
+    /// offset of a rotation or identity numbering, or the receiver's
+    /// contiguous slice of the random table. `port_row(r).port_of(s)` equals
+    /// `port_of(r, s)` for every sender; the sparse delivery path hands
+    /// the row to a plane's bulk run receive, which maps a whole run of
+    /// consecutive senders to a port range without a per-link lookup.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the receiver is out of range.
+    #[inline]
+    pub fn port_row(&self, receiver: NodeId) -> PortRow<'_> {
+        let r = receiver.index();
+        assert!(r < self.n, "receiver {receiver} out of range");
+        match &self.repr {
+            Repr::Table(map) => PortRow::Table(&map[r * self.n..(r + 1) * self.n]),
+            Repr::Identity => PortRow::Offset {
+                offset: 0,
+                n: self.n,
+            },
+            Repr::Rotation(offsets) => PortRow::Offset {
+                offset: offsets[r] as usize,
+                n: self.n,
+            },
         }
     }
 
@@ -376,6 +403,22 @@ mod tests {
                 for s in NodeId::all(9) {
                     let p = pn.port_of(r, s);
                     assert_eq!(pn.sender_at(r, p), s, "{pn:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn port_row_matches_port_of_for_every_repr() {
+        for pn in [
+            PortNumbering::random(70, 11),
+            PortNumbering::rotation(70, 11),
+            PortNumbering::identity(70),
+        ] {
+            for r in NodeId::all(70) {
+                let row = pn.port_row(r);
+                for s in NodeId::all(70) {
+                    assert_eq!(row.port_of(s.index()), pn.port_of(r, s), "{pn:?}");
                 }
             }
         }

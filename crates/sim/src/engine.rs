@@ -4,9 +4,9 @@ use std::sync::{Mutex, PoisonError};
 use adn_adversary::{Adversary, AdversaryView};
 use adn_core::{Algorithm, AlgorithmPlane, PlaneShard, MAX_PLANE_SHARDS};
 use adn_faults::{ByzContext, ByzantineStrategy, CrashSchedule};
-use adn_graph::{EdgeSet, LinkPlane, LinkRows, NodeSet, Schedule};
+use adn_graph::{EdgeSet, LinkPlane, LinkRows, NodeSet, Schedule, MAX_RUNS_PER_ROW};
 use adn_net::{PortNumbering, RoundBuffers, SenderClass, Traffic};
-use adn_types::{Message, NodeId, Params, Phase, Port, Round, Value, ValueInterval};
+use adn_types::{Message, NodeId, Params, Phase, Port, PortRow, Round, Value, ValueInterval};
 
 use adn_types::rng::SplitMix64;
 
@@ -32,6 +32,8 @@ struct SparseRound<'a> {
     links: &'a LinkPlane,
     classes: &'a [SenderClass],
     honest: &'a NodeSet,
+    /// The round's `Present` senders (chosen links all deliver).
+    unconditional: &'a NodeSet,
     crash: &'a CrashSchedule,
     ports: &'a PortNumbering,
     /// Per-sender wire message, staged once per active sender per round.
@@ -54,25 +56,144 @@ fn link_delivery(env: &SparseRound<'_>, u: NodeId, v: NodeId) -> Option<(Port, M
     }
 }
 
-/// Delivers receivers `lo..hi` of one sparse round: receiver-major over
+/// `v`'s merged runs when every sender they cover is `Present` — a row
+/// whose links all deliver, so its realized links are exactly the chosen
+/// ones. `None` for CSR and empty rows, and for runs that hold a
+/// `Partial` (crash-round) sender, whose links deliver per receiver. On
+/// the sparse path a deliverer is `Present` or `Partial`, so the test is
+/// one masked word scan of `deliverers \ unconditional` per run.
+#[inline]
+fn unconditional_runs(
+    links: &LinkPlane,
+    unconditional: &NodeSet,
+    v: NodeId,
+) -> Option<([(u32, u32); MAX_RUNS_PER_ROW], usize)> {
+    let (runs, m) = links.merged_runs(v);
+    let (dw, uw) = (links.deliverers().words(), unconditional.words());
+    let partial_in = |&(lo, hi): &(u32, u32)| {
+        let (lo, hi) = (lo as usize, hi as usize);
+        let (lw, hw) = (lo / 64, hi / 64);
+        (lw..=hw).any(|w| {
+            let mut mask = u64::MAX;
+            if w == lw {
+                mask &= u64::MAX << (lo % 64);
+            }
+            if w == hw {
+                mask &= u64::MAX >> (63 - hi % 64);
+            }
+            dw[w] & !uw[w] & mask != 0
+        })
+    };
+    (m > 0 && !runs[..m].iter().any(partial_in)).then_some((runs, m))
+}
+
+/// Where one sparse round's receiver rows land: the whole plane, or one
+/// receiver-range shard of it.
+trait RowReceiver {
+    /// A staged batch of `(port, message)` links, in slice order.
+    fn receive_many(&mut self, v: usize, batch: &[(Port, Message)]);
+    /// One id-range run of unconditional senders
+    /// (see [`AlgorithmPlane::receive_run`]).
+    fn receive_run(
+        &mut self,
+        v: usize,
+        lo: usize,
+        hi: usize,
+        senders: &NodeSet,
+        ports: PortRow<'_>,
+        wire: &[Message],
+    );
+}
+
+impl RowReceiver for dyn AlgorithmPlane + '_ {
+    #[inline]
+    fn receive_many(&mut self, v: usize, batch: &[(Port, Message)]) {
+        AlgorithmPlane::receive_many(self, v, batch);
+    }
+
+    #[inline]
+    fn receive_run(
+        &mut self,
+        v: usize,
+        lo: usize,
+        hi: usize,
+        senders: &NodeSet,
+        ports: PortRow<'_>,
+        wire: &[Message],
+    ) {
+        AlgorithmPlane::receive_run(self, v, lo, hi, senders, ports, wire);
+    }
+}
+
+impl RowReceiver for PlaneShard<'_> {
+    #[inline]
+    fn receive_many(&mut self, v: usize, batch: &[(Port, Message)]) {
+        PlaneShard::receive_many(self, v, batch);
+    }
+
+    #[inline]
+    fn receive_run(
+        &mut self,
+        v: usize,
+        lo: usize,
+        hi: usize,
+        senders: &NodeSet,
+        ports: PortRow<'_>,
+        wire: &[Message],
+    ) {
+        PlaneShard::receive_run(self, v, lo, hi, senders, ports, wire);
+    }
+}
+
+/// Delivers receivers `lo..hi` of one sparse round, receiver-major over
 /// the link plane's rows (senders ascending within a receiver — the same
-/// per-receiver arrival order as the dense sender-major walk), batching
-/// each receiver's `(port, message)` pairs into `rx` and handing them to
-/// `deliver` (the whole plane, or this range's shard). When `rows` is
-/// set (schedule recording), realized links land in `rows[v - lo]`.
+/// per-receiver arrival order as the dense sender-major walk), choosing
+/// a path per row:
+///
+/// * a **run row** whose senders are all `Present` goes to the sink's
+///   bulk [`receive_run`](AlgorithmPlane::receive_run), one call per
+///   merged run with the receiver's [`PortRow`]. Its traffic is the
+///   row's [`LinkRows::in_degree`] popcount, and its realized row, when
+///   recording, a word OR of each run;
+/// * a **CSR row**, or a run row holding a `Partial` sender, walks its
+///   links through [`link_delivery`], batching the `(port, message)`
+///   pairs into `rx` for the sink's `receive_many`.
+///
+/// When `rows` is set (schedule recording), realized links land in
+/// `rows[v - lo]`.
 // audit: no-alloc
-fn deliver_sparse_range(
+fn deliver_sparse_range<S: RowReceiver + ?Sized>(
     env: &SparseRound<'_>,
     lo: usize,
     hi: usize,
     rx: &mut Vec<(Port, Message)>,
     mut rows: Option<&mut [NodeSet]>,
     traffic: &mut Traffic,
-    deliver: &mut impl FnMut(usize, &[(Port, Message)]),
+    sink: &mut S,
 ) {
+    let deliverers = env.links.deliverers();
     for v_idx in lo..hi {
         let v = NodeId::new(v_idx);
         if !env.honest.contains(v) {
+            continue;
+        }
+        if let Some((runs, m)) = unconditional_runs(env.links, env.unconditional, v) {
+            let links = env.links.in_degree(v) as u64;
+            if links == 0 {
+                continue;
+            }
+            traffic.record_uniform_deliveries(links, 1);
+            let ports = env.ports.port_row(v);
+            for &(a, b) in &runs[..m] {
+                sink.receive_run(v_idx, a as usize, b as usize, deliverers, ports, env.wire);
+            }
+            if let Some(r) = rows.as_deref_mut() {
+                let row = &mut r[v_idx - lo];
+                for &(a, b) in &runs[..m] {
+                    row.union_range(deliverers, NodeId::new(a as usize), NodeId::new(b as usize));
+                }
+                row.remove(v);
+            }
             continue;
         }
         rx.clear();
@@ -94,7 +215,7 @@ fn deliver_sparse_range(
         }
         if !rx.is_empty() {
             traffic.record_uniform_deliveries(rx.len() as u64, 1);
-            deliver(v_idx, rx);
+            sink.receive_many(v_idx, rx);
         }
     }
 }
@@ -143,6 +264,8 @@ enum RealizedInner<'a> {
         links: &'a LinkPlane,
         classes: &'a [SenderClass],
         honest: &'a NodeSet,
+        /// The round's `Present` senders (see [`unconditional_runs`]).
+        unconditional: &'a NodeSet,
         crash: &'a CrashSchedule,
         /// The executed round (the filter's crash-survivor axis).
         t: Round,
@@ -184,6 +307,7 @@ impl LinkRows for RealizedRows<'_> {
                 honest,
                 crash,
                 t,
+                ..
             } => {
                 // Crashed/Byzantine receivers process nothing: their
                 // realized rows are empty, exactly as the dense delivery
@@ -212,7 +336,20 @@ impl LinkRows for RealizedRows<'_> {
         match &self.0 {
             // Word-parallel popcount instead of the per-bit default.
             RealizedInner::Dense(realized) => realized.in_degree(v),
-            RealizedInner::Sparse { .. } => {
+            RealizedInner::Sparse {
+                links,
+                honest,
+                unconditional,
+                ..
+            } => {
+                if !honest.contains(v) {
+                    return 0;
+                }
+                // A run row of `Present` senders delivers every chosen
+                // link: its popcount, without the per-link filter.
+                if unconditional_runs(links, unconditional, v).is_some() {
+                    return links.in_degree(v);
+                }
                 let mut c = 0;
                 self.for_each_in(v, |_| c += 1);
                 c
@@ -522,6 +659,7 @@ impl Simulation {
                 links,
                 classes: &self.buffers.classes,
                 honest: &self.buffers.honest,
+                unconditional: &self.buffers.unconditional,
                 crash: &self.crash,
                 t: Round::new(self.round.as_u64().saturating_sub(1)),
             }),
@@ -1255,21 +1393,14 @@ impl Simulation {
             links,
             classes: &buffers.classes,
             honest: &buffers.honest,
+            unconditional: &buffers.unconditional,
             crash,
             ports,
             wire,
             t,
         };
         let rows = record.then(|| buffers.realized.in_neighbor_sets_mut());
-        deliver_sparse_range(
-            &env,
-            0,
-            n,
-            &mut shard_rx[0],
-            rows,
-            traffic,
-            &mut |v, batch| plane.receive_many(v, batch),
-        );
+        deliver_sparse_range(&env, 0, n, &mut shard_rx[0], rows, traffic, plane);
     }
 
     /// The sharded body of [`Simulation::deliver_sparse`]: one
@@ -1300,6 +1431,7 @@ impl Simulation {
             links,
             classes: &buffers.classes,
             honest: &buffers.honest,
+            unconditional: &buffers.unconditional,
             crash,
             ports,
             wire,
@@ -1343,7 +1475,7 @@ impl Simulation {
                 rx,
                 rows.as_deref_mut(),
                 traffic,
-                &mut |v, batch| shard.receive_many(v, batch),
+                shard,
             );
         };
         pool.as_ref()
@@ -1833,6 +1965,95 @@ mod tests {
             assert_eq!(dense.traffic(), sparse.traffic(), "shards={shards}");
             assert_eq!(dense.schedule(), sparse.schedule(), "shards={shards}");
             assert_eq!(dense.traces(), sparse.traces(), "shards={shards}");
+        }
+    }
+
+    /// `RealizedRows::in_degree` answers a run row of `Present` senders
+    /// with the link plane's popcount; every other row falls back to the
+    /// filtered walk. On rows of every kind — runs with and without a
+    /// `Partial` sender, CSR rows, crashed receivers — both must equal
+    /// the `for_each_in` count and the recorded realized row.
+    #[test]
+    fn realized_in_degree_matches_the_filtered_walk_on_mixed_rows() {
+        use crate::builder::LinkMode;
+        use adn_adversary::AdversaryView;
+        use adn_graph::{EdgeSet, LinkPlane};
+
+        /// Even receivers get two id-range runs, odd ones a CSR row.
+        #[derive(Debug)]
+        struct Mixed;
+        impl Mixed {
+            const RUNS: [(usize, usize); 2] = [(0, 30), (36, 69)];
+            fn csr(v: usize) -> impl Iterator<Item = NodeId> {
+                (0..70).step_by(3).filter(move |&u| u != v).map(NodeId::new)
+            }
+        }
+        impl adn_adversary::Adversary for Mixed {
+            fn edges_into(&mut self, view: &AdversaryView<'_>, out: &mut EdgeSet) {
+                for v in NodeId::all(view.params.n()) {
+                    if v.index() % 2 == 0 {
+                        for (lo, hi) in Mixed::RUNS {
+                            out.insert_range_from(
+                                v,
+                                view.deliverers,
+                                NodeId::new(lo),
+                                NodeId::new(hi),
+                            );
+                        }
+                    } else {
+                        Mixed::csr(v.index()).for_each(|u| {
+                            out.insert(u, v);
+                        });
+                    }
+                }
+            }
+            fn sparse_capable(&self) -> bool {
+                true
+            }
+            fn sparse_into(&mut self, view: &AdversaryView<'_>, out: &mut LinkPlane) {
+                for v in NodeId::all(view.params.n()) {
+                    if v.index() % 2 == 0 {
+                        for (lo, hi) in Mixed::RUNS {
+                            out.push_run(v, NodeId::new(lo), NodeId::new(hi));
+                        }
+                    } else {
+                        Mixed::csr(v.index()).for_each(|u| out.push_link(v, u));
+                    }
+                }
+            }
+            fn name(&self) -> &'static str {
+                "mixed"
+            }
+        }
+
+        let n = 70;
+        let p = params(n, 2, 1e-3);
+        let mut crash = CrashSchedule::new(n);
+        // Node 12 sits inside the first run and sends a partial broadcast
+        // in round 1; node 9 (a CSR sender) in round 2.
+        crash.crash(
+            NodeId::new(12),
+            Round::new(1),
+            CrashSurvivors::Subset((0..n).step_by(4).map(NodeId::new).collect()),
+        );
+        crash.crash(NodeId::new(9), Round::new(2), CrashSurvivors::None);
+        let mut sim = Simulation::builder(p)
+            .inputs_random(3)
+            .adversary(Box::new(Mixed))
+            .crashes(crash)
+            .algorithm(factories::dac_with_pend(p, 20))
+            .link_mode(LinkMode::Sparse)
+            .build();
+        for t in 0..4u64 {
+            sim.step();
+            let recorded = sim.schedule.round(Round::new(t)).expect("recorded");
+            let rows = sim.realized_rows();
+            for v in NodeId::all(n) {
+                let mut walked = 0;
+                rows.for_each_in(v, |_| walked += 1);
+                assert_eq!(rows.in_degree(v), walked, "round {t}, receiver {v}");
+                assert_eq!(walked, recorded.in_degree(v), "round {t}, receiver {v}");
+            }
         }
     }
 

@@ -19,7 +19,7 @@ use std::rc::Rc;
 use adn_core::{Algorithm, AlgorithmFactory, AlgorithmPlane};
 use adn_graph::NodeSet;
 use adn_net::codec::{snap, Precision};
-use adn_types::{Batch, Message, Phase, Port, Value};
+use adn_types::{Batch, Message, Phase, Port, PortRow, Value};
 
 /// Wraps an algorithm so its broadcasts are quantized to `precision`.
 ///
@@ -142,6 +142,21 @@ impl AlgorithmPlane for QuantizedPlane {
 
     fn receive(&mut self, receiver: usize, port: Port, batch: &[Message]) {
         self.inner.receive(receiver, port, batch);
+    }
+
+    fn receive_run(
+        &mut self,
+        receiver: usize,
+        lo: usize,
+        hi: usize,
+        senders: &NodeSet,
+        ports: PortRow<'_>,
+        wire: &[Message],
+    ) {
+        // Forwarding is safe: the engine staged `wire` through this
+        // adaptor's `encode_wire`, and receives decode nothing.
+        self.inner
+            .receive_run(receiver, lo, hi, senders, ports, wire);
     }
 
     fn end_round(&mut self, executing: &NodeSet) {

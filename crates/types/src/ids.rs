@@ -92,6 +92,49 @@ impl From<usize> for Port {
     }
 }
 
+/// One receiver's whole port bijection, resolved once per receiver so a
+/// bulk receive can map many senders without a per-link representation
+/// match. Handed out by the port-numbering layer; read by the columnar
+/// planes.
+///
+/// ```
+/// use adn_types::{Port, PortRow};
+/// let rot = PortRow::Offset { offset: 3, n: 5 };
+/// assert_eq!(rot.port_of(1), Port::new(4));
+/// assert_eq!(rot.port_of(2), Port::new(0)); // wraps mod n
+/// let table = [Port::new(2), Port::new(0), Port::new(1)];
+/// assert_eq!(PortRow::Table(&table).port_of(0), Port::new(2));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PortRow<'a> {
+    /// `port = (sender + offset) mod n`, with `offset < n`: a rotation
+    /// numbering's row, or the identity's (`offset = 0`). Consecutive
+    /// senders land on consecutive ports until the one wrap at `n`.
+    Offset {
+        /// The receiver's rotation offset (`0` for the identity).
+        offset: usize,
+        /// The system size, the modulus of the rotation.
+        n: usize,
+    },
+    /// An explicit row: `port = row[sender]`.
+    Table(&'a [Port]),
+}
+
+impl PortRow<'_> {
+    /// The port this row's receiver hears `sender` on.
+    #[inline]
+    pub fn port_of(&self, sender: usize) -> Port {
+        match *self {
+            PortRow::Offset { offset, n } => {
+                debug_assert!(sender < n, "sender {sender} out of range");
+                let p = sender + offset;
+                Port(if p >= n { p - n } else { p })
+            }
+            PortRow::Table(row) => row[sender],
+        }
+    }
+}
+
 /// A synchronous round number, starting at `0`.
 ///
 /// ```

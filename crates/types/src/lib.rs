@@ -45,7 +45,7 @@ mod value;
 
 pub use batch::Batch;
 pub use error::Error;
-pub use ids::{NodeId, Phase, Port, Round};
+pub use ids::{NodeId, Phase, Port, PortRow, Round};
 pub use message::Message;
 pub use params::{FaultKind, Params};
 pub use value::{Value, ValueInterval};

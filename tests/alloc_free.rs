@@ -4,10 +4,13 @@
 //! performs **zero** heap allocations per round for DAC and DBAC runs in
 //! lean observability mode (no schedule recording, no phase multisets —
 //! both are history *recording*, inherently growing, and both default to
-//! on for analysis runs). The same counter pins every adversary in the
-//! gallery — each one fills the reused edge set in place — and the
-//! sliding-window dynaDegree checker: once its `WindowUnion` scratch
-//! exists, a full sweep across a recording allocates nothing.
+//! on for analysis runs). Sparse cases with schedule recording on pin
+//! the run-row receive's word-OR recording: their only allocations are
+//! the recorded schedule's own per-round copies. The same counter pins
+//! every adversary in the gallery — each one fills the reused edge set
+//! in place — and the sliding-window dynaDegree checker: once its
+//! `WindowUnion` scratch exists, a full sweep across a recording
+//! allocates nothing.
 //!
 //! This file contains exactly one `#[test]` so no concurrent test can
 //! pollute the allocation counter.
@@ -120,6 +123,33 @@ fn lean_dac_sparse(n: usize, shards: usize) -> Simulation {
         .build()
 }
 
+/// One engine case: its name and how to build it.
+type Case = (&'static str, fn() -> Simulation);
+
+/// A sparse-link DAC or DBAC run on rotation ports under
+/// `Rotating{d: n/2+1}` — every receiver row is an id-range run, so
+/// delivery takes the bulk run receive — with schedule recording on.
+fn rotation_sparse(dbac: bool, n: usize, shards: usize) -> Simulation {
+    let params = Params::fault_free(n, 1e-6).unwrap();
+    let factory = if dbac {
+        factories::dbac_with_pend(params, u64::MAX)
+    } else {
+        factories::dac_with_pend(params, u64::MAX)
+    };
+    Simulation::builder(params)
+        .inputs_random(1)
+        .adversary(AdversarySpec::Rotating { d: n / 2 + 1 }.build(n, 0, 1))
+        .ports(PortNumbering::rotation(n, 5))
+        .algorithm(factory)
+        .algorithm_plane(PlaneMode::Always)
+        .link_mode(LinkMode::Sparse)
+        .shards(shards)
+        .record_schedule(true)
+        .observe_phases(false)
+        .max_rounds(u64::MAX)
+        .build()
+}
+
 #[test]
 fn steady_state_step_performs_zero_allocations() {
     // --- The round engine's delivery loop, on both the columnar plane
@@ -128,52 +158,68 @@ fn steady_state_step_performs_zero_allocations() {
     // descending and shuffled orders route both paths through the shared
     // per-round sender permutation, whose build — including the shuffle's
     // full-id scratch and the active mask — must reuse the arena's `perm`
-    // buffer), plus the quantized wire-encoding adaptor on the plane. ---
+    // buffer), plus the quantized wire-encoding adaptor on the plane.
+    // The counter is process-wide, so no other thread may allocate
+    // during a measured window. Each case is built just before it is
+    // measured, because a sharded case's pool workers allocate while
+    // they start up. And the test starts with a pause: right after
+    // spawning this test's thread, the harness's main thread makes a
+    // few allocations of its own before it blocks waiting for the
+    // result, and on a loaded host that can take milliseconds. ---
+    std::thread::sleep(std::time::Duration::from_millis(100));
     use DeliveryOrder::{AscendingSenders, DescendingSenders, Shuffled};
-    for (name, mut sim) in [
-        (
-            "dac/plane",
-            lean_dac(32, PlaneMode::Always, AscendingSenders),
-        ),
-        (
-            "dac/trait",
-            lean_dac(32, PlaneMode::Never, AscendingSenders),
-        ),
-        (
-            "dac/plane/desc",
-            lean_dac(32, PlaneMode::Always, DescendingSenders),
-        ),
-        (
-            "dac/plane/shuffled",
-            lean_dac(32, PlaneMode::Always, Shuffled(7)),
-        ),
-        (
-            "dac/trait/shuffled",
-            lean_dac(32, PlaneMode::Never, Shuffled(7)),
-        ),
-        (
-            "dac/plane/quantized",
-            lean_dac_quantized(32, PlaneMode::Always),
-        ),
-        (
-            "dbac/plane",
-            lean_dbac(32, PlaneMode::Always, AscendingSenders),
-        ),
-        (
-            "dbac/trait",
-            lean_dbac(32, PlaneMode::Never, AscendingSenders),
-        ),
-        (
-            "dbac/plane/shuffled",
-            lean_dbac(32, PlaneMode::Always, Shuffled(7)),
-        ),
+    let cases: &[Case] = &[
+        ("dac/plane", || {
+            lean_dac(32, PlaneMode::Always, AscendingSenders)
+        }),
+        ("dac/trait", || {
+            lean_dac(32, PlaneMode::Never, AscendingSenders)
+        }),
+        ("dac/plane/desc", || {
+            lean_dac(32, PlaneMode::Always, DescendingSenders)
+        }),
+        ("dac/plane/shuffled", || {
+            lean_dac(32, PlaneMode::Always, Shuffled(7))
+        }),
+        ("dac/trait/shuffled", || {
+            lean_dac(32, PlaneMode::Never, Shuffled(7))
+        }),
+        ("dac/plane/quantized", || {
+            lean_dac_quantized(32, PlaneMode::Always)
+        }),
+        ("dbac/plane", || {
+            lean_dbac(32, PlaneMode::Always, AscendingSenders)
+        }),
+        ("dbac/trait", || {
+            lean_dbac(32, PlaneMode::Never, AscendingSenders)
+        }),
+        ("dbac/plane/shuffled", || {
+            lean_dbac(32, PlaneMode::Always, Shuffled(7))
+        }),
         // The sparse link plane: row-kind rows + receiver-major delivery,
         // single-shard and sharded. The sharded case pins the whole
         // per-round fan-out — column split, worker handoff (futex-based
         // mutex/condvar, no heap), per-shard traffic merge.
-        ("dac/sparse", lean_dac_sparse(32, 1)),
-        ("dac/sparse/sharded", lean_dac_sparse(32, 3)),
-    ] {
+        ("dac/sparse", || lean_dac_sparse(32, 1)),
+        ("dac/sparse/sharded", || lean_dac_sparse(32, 3)),
+        // The run-row bulk receive on rotation ports (the numbering of
+        // every run past the dense port cap): DAC's word-chunk kernel and
+        // DBAC's fused walk, with the realized rows recorded by word ORs.
+        ("dac/sparse/rotation/recorded", || {
+            rotation_sparse(false, 130, 1)
+        }),
+        ("dac/sparse/rotation/recorded/sharded", || {
+            rotation_sparse(false, 130, 2)
+        }),
+        ("dbac/sparse/rotation/recorded", || {
+            rotation_sparse(true, 130, 1)
+        }),
+        ("dbac/sparse/rotation/recorded/sharded", || {
+            rotation_sparse(true, 130, 2)
+        }),
+    ];
+    for &(name, build) in cases {
+        let mut sim = build();
         assert_eq!(
             sim.uses_plane(),
             name.contains("plane") || name.contains("sparse"),
@@ -181,12 +227,23 @@ fn steady_state_step_performs_zero_allocations() {
         );
         assert_eq!(sim.uses_sparse_links(), name.contains("sparse"), "{name}");
         // Warmup: grow every buffer to its steady-state capacity. 70
-        // rounds also pushes the internal round-trace vector past a
-        // power-of-two boundary (cap 128), so the measured window below
-        // (30 rounds) cannot hit an amortized doubling.
+        // rounds also pushes the internal round-trace vector (and a
+        // recorded schedule) past a power-of-two boundary (cap 128), so
+        // the measured window below (30 rounds) cannot hit an amortized
+        // doubling.
         for _ in 0..70 {
             sim.step();
         }
+        // A recorded run keeps one copy of each round's realized links:
+        // exactly one `EdgeSet` clone per round, and nothing else.
+        let per_round = if name.contains("recorded") {
+            let probe = EdgeSet::empty(sim.buffers().realized.n());
+            let before = allocations();
+            drop(probe.clone());
+            allocations() - before
+        } else {
+            0
+        };
         let caps = sim.buffers().batch_capacities();
         let before = allocations();
         for _ in 0..30 {
@@ -195,8 +252,9 @@ fn steady_state_step_performs_zero_allocations() {
         let after = allocations();
         assert_eq!(
             after - before,
-            0,
-            "{name}: steady-state step allocated ({} allocations over 30 rounds)",
+            30 * per_round,
+            "{name}: steady-state step allocated ({} allocations over 30 rounds; \
+             {per_round} per round are the recorded schedule's own copies)",
             after - before
         );
         assert_eq!(

@@ -10,8 +10,8 @@
 //! per-phase value multisets `V(p)`, same round traces, same realized
 //! schedule, same traffic counters. This file drives all three plane
 //! modes through randomized configurations — delivery order ×
-//! quantization × adversary × crash/Byzantine mix × ε × algorithm — and
-//! asserts equality on everything an `Outcome` exposes.
+//! quantization × adversary × crash/Byzantine mix × ε × algorithm × port
+//! numbering — and asserts equality on everything an `Outcome` exposes.
 //!
 //! Seed count defaults to 400; override with `ADN_FUZZ_SEEDS` (CI runs a
 //! reduced count to keep the job fast).
@@ -41,7 +41,30 @@ struct Config {
     order: DeliveryOrder,
     /// Wire precision of a quantized run (`None` = exact wire).
     quantize_bits: Option<u8>,
+    ports: Ports,
     seed: u64,
+}
+
+/// The port numberings a configuration may run on: the random table of
+/// small systems, and the two arithmetic rows — rotation (what every run
+/// past `PortNumbering::MAX_DENSE_N` uses) and identity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Ports {
+    Random,
+    Rotation,
+    Identity,
+}
+
+impl Ports {
+    const ALL: [Ports; 3] = [Ports::Random, Ports::Rotation, Ports::Identity];
+
+    fn build(self, n: usize, seed: u64) -> PortNumbering {
+        match self {
+            Ports::Random => PortNumbering::random(n, seed ^ 0x9097),
+            Ports::Rotation => PortNumbering::rotation(n, seed ^ 0x9097),
+            Ports::Identity => PortNumbering::identity(n),
+        }
+    }
 }
 
 fn draw(seed: u64) -> Config {
@@ -109,6 +132,8 @@ fn draw(seed: u64) -> Config {
         };
         crash.crash(node, round, survivors);
     }
+    // Drawn last, so every earlier draw keeps its stream.
+    let ports = Ports::ALL[rng.next_index(Ports::ALL.len())];
 
     Config {
         params,
@@ -119,6 +144,7 @@ fn draw(seed: u64) -> Config {
         crash,
         order,
         quantize_bits,
+        ports,
         seed,
     }
 }
@@ -136,7 +162,7 @@ fn run(cfg: &Config, mode: PlaneMode) -> Outcome {
     let mut builder = Simulation::builder(cfg.params)
         .inputs_random(cfg.seed ^ 0xBEEF)
         .adversary(cfg.adversary.build(n, cfg.params.f(), cfg.seed ^ 0xC0DE))
-        .ports(PortNumbering::random(n, cfg.seed ^ 0x9097))
+        .ports(cfg.ports.build(n, cfg.seed))
         .crashes(cfg.crash.clone())
         .delivery_order(cfg.order)
         .algorithm(factory)
@@ -172,7 +198,7 @@ fn run_links(cfg: &Config, link_mode: LinkMode, shards: usize) -> Outcome {
     let sim = Simulation::builder(cfg.params)
         .inputs_random(cfg.seed ^ 0xBEEF)
         .adversary(cfg.adversary.build(n, cfg.params.f(), cfg.seed ^ 0xC0DE))
-        .ports(PortNumbering::random(n, cfg.seed ^ 0x9097))
+        .ports(cfg.ports.build(n, cfg.seed))
         .crashes(cfg.crash.clone())
         .delivery_order(cfg.order)
         .algorithm(factory)
@@ -198,7 +224,8 @@ fn run_links(cfg: &Config, link_mode: LinkMode, shards: usize) -> Outcome {
 fn assert_identical(cfg: &Config, mode: PlaneMode, reference: &Outcome, plane: &Outcome) {
     let n = cfg.params.n();
     let ctx = format!(
-        "seed {}: n={n} f={} {} pend={} adversary={} byz={:?} order={:?} bits={:?} mode={mode:?}",
+        "seed {}: n={n} f={} {} pend={} adversary={} byz={:?} order={:?} bits={:?} ports={:?} \
+         mode={mode:?}",
         cfg.seed,
         cfg.params.f(),
         if cfg.dbac { "dbac" } else { "dac" },
@@ -207,6 +234,7 @@ fn assert_identical(cfg: &Config, mode: PlaneMode, reference: &Outcome, plane: &
         cfg.byz,
         cfg.order,
         cfg.quantize_bits,
+        cfg.ports,
     );
     assert_eq!(reference.reason(), plane.reason(), "stop reason: {ctx}");
     assert_eq!(reference.rounds(), plane.rounds(), "round count: {ctx}");
@@ -274,40 +302,140 @@ fn plane_matches_trait_path_across_the_configuration_space() {
 }
 
 /// The sparse link plane — single-shard and sharded — must be
-/// byte-identical to the dense per-receiver-port reference on the same
-/// configurations: same rounds, outputs, traffic, schedule, traces, and
-/// phase multisets. Sparse runs support crashes but not Byzantine
-/// senders, and deliver in ascending sender order, so the draw is
-/// redirected onto those axes rather than skipped; everything else
-/// (adversary, crash mix, ε, pend, algorithm, quantization) fuzzes as
-/// before. Quantized draws additionally exercise the sharded path's
-/// single-shard fallback: the wire-format adaptor does not split into
-/// columns, so `fill_shards` declines and delivery stays on one shard.
+/// byte-identical to the dense per-receiver-port reference, and that to
+/// the trait path, on the same configurations: same rounds, outputs,
+/// traffic, schedule, traces, and phase multisets. Sparse runs support
+/// crashes but not Byzantine senders, and deliver in ascending sender
+/// order, so the draw is redirected onto those axes rather than skipped;
+/// everything else (adversary, crash mix, ε, pend, algorithm,
+/// quantization, port numbering) fuzzes as before. Quantized draws
+/// additionally exercise the sharded path's single-shard fallback: the
+/// wire-format adaptor does not split into columns, so `fill_shards`
+/// declines and delivery stays on one shard.
 #[test]
 fn sparse_and_sharded_links_match_the_dense_plane() {
     let seeds = fuzz_seeds();
     let mut crashy = 0u64;
     let mut quantized = 0u64;
+    let mut arithmetic = 0u64;
     for seed in 0..seeds {
         let mut cfg = draw(seed);
         cfg.byz.clear();
         cfg.order = DeliveryOrder::AscendingSenders;
-        let reference = run_links(&cfg, LinkMode::Dense, 1);
-        for shards in [1usize, 2, 5] {
-            let sparse = run_links(&cfg, LinkMode::Sparse, shards);
-            assert_identical(&cfg, PlaneMode::Always, &reference, &sparse);
-        }
+        assert_sparse_matches_dense_and_trait(&cfg);
         crashy += u64::from(cfg.crash.fault_count() > 0);
         quantized += u64::from(cfg.quantize_bits.is_some());
+        arithmetic += u64::from(cfg.ports != Ports::Random);
     }
     // The redirected draw must still cover the interesting axes: crashes
-    // mid-run on the sparse path, and quantized wires on the fallback.
+    // mid-run on the sparse path, quantized wires on the fallback, and
+    // the arithmetic port rows the run-row bulk receive specializes.
     if seeds >= 40 {
         assert!(crashy >= seeds / 8, "only {crashy}/{seeds} crashy draws");
         assert!(
             quantized >= seeds / 5,
             "only {quantized}/{seeds} quantized draws"
         );
+        assert!(
+            arithmetic >= seeds / 2,
+            "only {arithmetic}/{seeds} rotation or identity draws"
+        );
+    }
+}
+
+/// Sparse on 1, 2 and 5 shards ≡ dense plane ≡ trait path on `cfg`.
+fn assert_sparse_matches_dense_and_trait(cfg: &Config) {
+    let reference = run_links(cfg, LinkMode::Dense, 1);
+    assert_identical(
+        cfg,
+        PlaneMode::Never,
+        &run(cfg, PlaneMode::Never),
+        &reference,
+    );
+    for shards in [1usize, 2, 5] {
+        let sparse = run_links(cfg, LinkMode::Sparse, shards);
+        assert_identical(cfg, PlaneMode::Always, &reference, &sparse);
+    }
+}
+
+/// The run-row bulk receive at and around word boundaries, on every port
+/// numbering and both algorithms, with the schedule recorded: sparse on
+/// 1, 2 and 5 shards ≡ dense ≡ trait. The adversaries pick the situations
+/// the kernel special-cases:
+///
+/// * `Complete` crosses the quorum mid-word;
+/// * the partition's small side never reaches quorum, so every later
+///   round meets ports already in `R_i` from an earlier round of the
+///   same phase;
+/// * the isolated node falls behind and, once links return, jumps at the
+///   first sender of a run and takes the rest at its new phase;
+/// * the threshold rotation grants barely a quorum, and `Staggered`
+///   keeps nodes a phase apart;
+/// * the short `pend` leaves decided receivers still taking deliveries.
+///
+/// Node `n/2` crashes in round 1 and node `n/3` in round 3, each
+/// delivering to a subset of receivers: a `Partial` sender inside every
+/// run that covers it. Rotation ports, the numbering of every run past
+/// the dense port cap, meet every adversary; the other two numberings
+/// one each.
+#[test]
+fn run_rows_match_dense_and_trait_at_word_boundaries() {
+    for (i, n) in [63usize, 64, 65, 127, 129, 257].into_iter().enumerate() {
+        for dbac in [false, true] {
+            let adversaries = [
+                AdversarySpec::Complete,
+                AdversarySpec::PartitionAt { split: n / 2 + 2 },
+                AdversarySpec::IsolateOne {
+                    victim: n / 4,
+                    from: 1,
+                    duration: 3,
+                },
+                if dbac {
+                    AdversarySpec::DbacThreshold
+                } else {
+                    AdversarySpec::Rotating { d: n / 2 + 1 }
+                },
+                AdversarySpec::Staggered {
+                    d: n - 1,
+                    groups: 3,
+                },
+            ];
+            let k = adversaries.len();
+            let cases = adversaries.iter().map(|a| (Ports::Rotation, a)).chain([
+                (Ports::Identity, &adversaries[i % k]),
+                (Ports::Random, &adversaries[(i + 2) % k]),
+            ]);
+            for (j, (ports, adversary)) in cases.enumerate() {
+                let seed = (n * 100 + j * 2) as u64 + u64::from(dbac);
+                let mut crash = CrashSchedule::new(n);
+                crash.crash(
+                    NodeId::new(n / 2),
+                    Round::new(1),
+                    CrashSurvivors::Random {
+                        keep_probability: 0.5,
+                        seed,
+                    },
+                );
+                crash.crash(
+                    NodeId::new(n / 3),
+                    Round::new(3),
+                    CrashSurvivors::Subset((0..n).step_by(3).map(NodeId::new).collect()),
+                );
+                let cfg = Config {
+                    params: Params::new(n, 2, 1e-2).expect("valid params"),
+                    dbac,
+                    pend: if dbac { 4 } else { 3 },
+                    adversary: *adversary,
+                    byz: Vec::new(),
+                    crash,
+                    order: DeliveryOrder::AscendingSenders,
+                    quantize_bits: None,
+                    ports,
+                    seed,
+                };
+                assert_sparse_matches_dense_and_trait(&cfg);
+            }
+        }
     }
 }
 
